@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.core.tasks import Task
 from repro.reram.chip import Chip
+from repro.utils.arrays import lexicographic_argmin
 
 __all__ = ["IdleSlot", "RemapDecision", "RemapPlan", "RemapProtocol"]
 
@@ -108,6 +109,12 @@ class RemapProtocol:
         self.require_lower_density = require_lower_density
         self.receiver_rule = receiver_rule
         self.rng = rng or np.random.default_rng(0)
+        #: static geometry, by local index: pair -> tile, tile x tile hops.
+        self._pair_tile = (
+            np.array([p.tile_id for p in chip.pairs], dtype=np.int64)
+            - chip.tile_base
+        )
+        self._hops = chip.hop_table()
 
     # ------------------------------------------------------------------ #
     def plan(
@@ -122,102 +129,116 @@ class RemapProtocol:
         ``pair_density`` holds the BIST *estimates* per pair id — the
         protocol never sees ground truth.  ``idle_pairs`` are on-chip
         pairs hosting no task; they participate as (preferred) receivers.
+
+        Receivers are held as arrays (pair id, density, tolerance rank,
+        tile, task-or-idle) in list order — non-sender tasks in ``tasks``
+        order, then ``idle_pairs`` — and each sender scores all of them
+        with masks, so a plan costs one array pass per sender.
         """
         plan = RemapPlan(epoch=epoch)
-        senders = [
-            t for t in tasks
-            if pair_density[t.pair_id] > self.threshold
-            and (not self.phase_priority or t.tolerance_rank == 0)
-        ]
-        if not senders:
+        chip = self.chip
+        task_pair = np.fromiter(
+            (t.pair_id for t in tasks), dtype=np.int64, count=len(tasks)
+        )
+        task_rank = np.fromiter(
+            (t.tolerance_rank for t in tasks), dtype=np.int64, count=len(tasks)
+        )
+        task_density = pair_density[task_pair]
+        is_sender = task_density > self.threshold
+        if self.phase_priority:
+            is_sender &= task_rank == 0
+        senders = np.flatnonzero(is_sender)
+        if not senders.size:
             return plan
         # Most-faulty senders are served first (they have the most to gain
         # and the fewest viable receivers).
-        senders.sort(key=lambda t: (-pair_density[t.pair_id], t.pair_id))
-        sender_ids = {id(t) for t in senders}
-        receivers: list[Task | IdleSlot] = [
-            t for t in tasks if id(t) not in sender_ids
-        ]
-        receivers.extend(IdleSlot(pid) for pid in (idle_pairs or []))
+        senders = senders[np.lexsort((task_pair[senders], -task_density[senders]))]
+        idle = np.asarray(idle_pairs or [], dtype=np.int64)
+        recv_task = np.flatnonzero(~is_sender)
+        recv_pair = np.concatenate([task_pair[recv_task], idle])
+        recv_density = pair_density[recv_pair]
+        recv_rank = np.concatenate(
+            [task_rank[recv_task], np.full(idle.size, IdleSlot.tolerance_rank)]
+        )
+        recv_is_task = np.arange(recv_pair.size) < recv_task.size
+        recv_tile = self._pair_tile[recv_pair - chip.pair_base]
+        used = np.zeros(recv_pair.size, dtype=bool)
 
-        used_receivers: set[int] = set()
-        for sender in senders:
-            s_density = float(pair_density[sender.pair_id])
-            s_tile = self.chip.tile_of_pair(sender.pair_id)
-            candidates = []
-            settled = []  # receivers below the trigger threshold
-            for r in receivers:
-                if id(r) in used_receivers:
-                    continue
-                r_density = float(pair_density[r.pair_id])
-                if self.require_lower_density and r_density >= s_density:
-                    continue
-                if self.phase_priority and r.tolerance_rank <= sender.tolerance_rank:
-                    continue
-                candidates.append((r, r_density))
-                if r_density <= self.threshold:
-                    settled.append((r, r_density))
+        for index in senders.tolist():
+            sender = tasks[index]
+            s_density = float(task_density[index])
+            s_local = int(self._pair_tile[task_pair[index] - chip.pair_base])
+            s_tile = s_local + chip.tile_base
+            viable = ~used
+            if self.require_lower_density:
+                viable &= recv_density < s_density
+            if self.phase_priority:
+                viable &= recv_rank > task_rank[index]
+            candidates = np.flatnonzero(viable)
             # Hysteresis: prefer receivers *below the trigger threshold* so
             # a remapped task settles there and never re-triggers ("to
             # prevent frequent remapping" — Section III.B.4).  Hopping to
             # a merely-lower-density pair every epoch would smear fault
             # damage over fresh weight positions at each hop.
-            if settled:
+            settled = candidates[recv_density[candidates] <= self.threshold]
+            if settled.size:
                 candidates = settled
-            if not candidates:
+            if not candidates.size:
                 continue
-            chosen, r_density = self._choose(s_tile, candidates)
-            r_tile = self.chip.tile_of_pair(chosen.pair_id)
-            hops = self.chip.hop_count(s_tile, r_tile)
-            used_receivers.add(id(chosen))
+            chosen = int(candidates[self._choose(s_local, candidates,
+                                                 recv_is_task, recv_tile,
+                                                 recv_density, recv_pair)])
+            used[chosen] = True
+            r_pair = int(recv_pair[chosen])
+            r_tile = int(recv_tile[chosen]) + chip.tile_base
             plan.decisions.append(
                 RemapDecision(
                     sender=sender,
-                    receiver=chosen,
+                    receiver=(
+                        tasks[recv_task[chosen]]
+                        if recv_is_task[chosen]
+                        else IdleSlot(r_pair)
+                    ),
                     sender_tile=s_tile,
                     receiver_tile=r_tile,
-                    hops=hops,
+                    hops=int(self._hops[s_local, recv_tile[chosen]]),
                     sender_density=s_density,
-                    receiver_density=r_density,
+                    receiver_density=float(recv_density[chosen]),
                 )
             )
-            if s_tile not in plan.sender_tiles:
+            if s_tile not in plan.responders:
                 plan.sender_tiles.append(s_tile)
-            responding_tiles = sorted(
-                {self.chip.tile_of_pair(r.pair_id) for r, _ in candidates}
-            )
-            plan.responders.setdefault(s_tile, responding_tiles)
+                plan.responders[s_tile] = (
+                    np.unique(recv_tile[candidates]) + chip.tile_base
+                ).tolist()
             plan.matches[s_tile] = r_tile
         return plan
 
     def _choose(
-        self, sender_tile: int, candidates: list[tuple["Task | IdleSlot", float]]
-    ) -> tuple["Task | IdleSlot", float]:
-        """Pick the receiver according to the configured rule.
+        self,
+        sender_tile: int,
+        candidates: np.ndarray,
+        is_task: np.ndarray,
+        tile: np.ndarray,
+        density: np.ndarray,
+        pair: np.ndarray,
+    ) -> int:
+        """Position in ``candidates`` of the receiver the rule picks.
 
-        Idle crossbar pairs always outrank task-hosting receivers: an
-        exchange with a working forward task pushes the sender's faults
-        onto that task, while a move to an idle pair harms nothing.  Among
-        receivers of the same kind, proximity (NoC hop count) decides, as
-        in Fig. 3.
+        ``sender_tile`` and ``tile`` are local tile indices.  Idle crossbar
+        pairs always outrank task-hosting receivers: an exchange with a
+        working forward task pushes the sender's faults onto that task,
+        while a move to an idle pair harms nothing.  Among receivers of the
+        same kind, proximity (NoC hop count) decides, as in Fig. 3; the
+        remaining ties go to the lower density, then the lower pair id.
         """
+        if self.receiver_rule == "random":
+            return int(self.rng.integers(0, candidates.size))
+        keys = [is_task[candidates]]
         if self.receiver_rule == "nearest":
-            return min(
-                candidates,
-                key=lambda c: (
-                    isinstance(c[0], Task),
-                    self.chip.hop_count(sender_tile, self.chip.tile_of_pair(c[0].pair_id)),
-                    c[1],
-                    c[0].pair_id,
-                ),
-            )
-        if self.receiver_rule == "lowest-density":
-            return min(
-                candidates,
-                key=lambda c: (isinstance(c[0], Task), c[1], c[0].pair_id),
-            )
-        index = int(self.rng.integers(0, len(candidates)))
-        return candidates[index]
+            keys.append(self._hops[sender_tile, tile[candidates]])
+        keys += [density[candidates], pair[candidates]]
+        return lexicographic_argmin(keys)
 
     # ------------------------------------------------------------------ #
     def execute(self, plan: RemapPlan) -> int:

@@ -244,7 +244,7 @@ class ChipFleet:
         """Global ids of every pair currently hosting a task."""
         occupied: set[int] = set()
         for mapping in self.mappings:
-            occupied.update(int(p) for p in mapping.pair_ids.ravel())
+            occupied.update(mapping.pair_ids.ravel().tolist())
         return occupied
 
     def allocate_layer_copy(

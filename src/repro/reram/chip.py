@@ -23,6 +23,7 @@ from repro.reram.ima import IMA
 from repro.reram.mapping import LayerCopyMapping, blocks_needed
 from repro.reram.tile import Tile
 from repro.telemetry import null_telemetry
+from repro.utils.arrays import lexicographic_argmin
 from repro.utils.config import ChipConfig
 
 __all__ = ["Chip", "SpareExhaustedError"]
@@ -114,6 +115,7 @@ class Chip:
                 if q:
                     order.append(q.pop(0))
         self._alloc_order = order
+        self._alloc_ids = np.asarray(order, dtype=np.int64)
         self._alloc_cursor = 0
 
     # ------------------------------------------------------------------ #
@@ -194,6 +196,17 @@ class Chip:
         (ya, xa), (yb, xb) = self.router_coords(ra), self.router_coords(rb)
         return abs(ya - yb) + abs(xa - xb)
 
+    def hop_table(self) -> np.ndarray:
+        """:meth:`hop_count` between every two tiles of this chip.
+
+        Indexed by local tile index (``tile_id - tile_base``) on both axes.
+        """
+        coords = np.array(
+            [self.router_coords(tile.router_id) for tile in self.tiles],
+            dtype=np.int64,
+        ).reshape(-1, 2)
+        return np.abs(coords[:, None, :] - coords[None, :, :]).sum(axis=2)
+
     def bump_fault_version(self) -> None:
         """Invalidate all cached fault overlays (new faults or remap)."""
         self.fault_version += 1
@@ -253,11 +266,7 @@ class Chip:
         *global* occupancy here because evicted tasks hosted on this chip
         are registered in a foreign chip's mapping list.
         """
-        if occupied is None:
-            occupied = set()
-            for mapping in self.mappings:
-                occupied.update(int(p) for p in mapping.pair_ids.ravel())
-        return [pid for pid in self._alloc_order if pid not in occupied]
+        return self._free_pairs(occupied).tolist()
 
     def find_eviction_pair(
         self, occupied: set[int], density: np.ndarray | None = None
@@ -269,14 +278,32 @@ class Chip:
         candidate chip.  With ``density`` (BIST estimates indexed by global
         pair id) the least-faulty free pair wins, ties broken by id.
         """
-        free = [pid for pid in self._alloc_order if pid not in occupied]
-        if not free:
+        free = self._free_pairs(occupied)
+        if not free.size:
             raise SpareExhaustedError(
                 self.chip_id, 1, 0, len(self._alloc_order)
             )
         if density is None:
-            return free[0]
-        return min(free, key=lambda pid: (float(density[pid]), pid))
+            return int(free[0])
+        return int(free[lexicographic_argmin([density[free], free])])
+
+    def _free_pairs(self, occupied: set[int] | None) -> np.ndarray:
+        """Allocatable pair ids, in allocation order, not in ``occupied``.
+
+        ``None`` means the pairs this chip's own mappings occupy.  Ids of
+        other chips' pairs in ``occupied`` are ignored.
+        """
+        if occupied is None:
+            taken_ids = np.concatenate(
+                [m.pair_ids.ravel() for m in self.mappings]
+                or [np.empty(0, dtype=np.int64)]
+            )
+        else:
+            taken_ids = np.fromiter(occupied, dtype=np.int64, count=len(occupied))
+        local = taken_ids - self.pair_base
+        taken = np.zeros(len(self.pairs), dtype=bool)
+        taken[local[(local >= 0) & (local < len(self.pairs))]] = True
+        return self._alloc_ids[~taken[self._alloc_ids - self.pair_base]]
 
     def move_task(
         self,

@@ -231,13 +231,22 @@ class InferenceServer:
             return
         self._fail_batch(batch, ReplicaDied("no serving replicas left"))
 
-    def _fail_batch(self, batch: list[Request], exc: Exception) -> None:
+    def _fail_batch(
+        self, batch: list[Request], exc: Exception, in_flight: bool = True
+    ) -> None:
+        """Fail every request of ``batch`` with ``exc``.
+
+        ``in_flight=False`` marks requests that never left the batcher
+        (the non-drain shutdown path): they were never counted in
+        ``_inflight``, so they must not be subtracted from it either.
+        """
         for request in batch:
             request.future.set_error(exc)
         with self._tel_lock:
             self.telemetry.count("serve.failed", len(batch))
         with self._idle_cv:
-            self._inflight -= len(batch)
+            if in_flight:
+                self._inflight -= len(batch)
             self._idle_cv.notify_all()
 
     # ------------------------------------------------------------------ #
@@ -393,7 +402,9 @@ class InferenceServer:
         if not drain:
             pending = self.batcher.drain_pending()
             if pending:
-                self._fail_batch(pending, RuntimeError("server shut down"))
+                self._fail_batch(
+                    pending, RuntimeError("server shut down"), in_flight=False
+                )
         self.batcher.close()
         self._dispatcher.join(timeout=timeout)
         for rid in self.replicas:

@@ -35,6 +35,8 @@ from __future__ import annotations
 
 from typing import Any
 
+import numpy as np
+
 from repro.faults.types import FaultType
 from repro.telemetry import Telemetry
 
@@ -45,32 +47,46 @@ def chip_health(chip) -> dict[str, Any]:
     """Measure the chip's current fault state (no telemetry emission).
 
     Ground-truth accounting for analysis and the ``health_sample`` event —
-    the *policies* still only ever see BIST estimates.
+    the *policies* still only ever see BIST estimates.  One array pass:
+    per-crossbar SA0/SA1 counts from the stacked fault codes, folded into
+    pairs and then tiles with ``np.bincount``.
     """
-    occupied: set[int] = set()
-    for mapping in chip.mappings:
-        occupied.update(int(p) for p in mapping.pair_ids.ravel())
+    codes = np.stack([xb.fault_map.codes for xb in chip.crossbars])
+    xb_sa0 = np.count_nonzero(codes == FaultType.SA0, axis=(1, 2))
+    xb_sa1 = np.count_nonzero(codes == FaultType.SA1, axis=(1, 2))
+    xb_base = chip.crossbars[0].xbar_id
+    pos = np.array([p.pos.xbar_id for p in chip.pairs]) - xb_base
+    neg = np.array([p.neg.xbar_id for p in chip.pairs]) - xb_base
+    pair_ids = np.array([p.pair_id for p in chip.pairs])
+    pair_tiles = np.array([p.tile_id for p in chip.pairs])
+    occupied_ids = np.concatenate(
+        [m.pair_ids.ravel() for m in chip.mappings]
+        or [np.empty(0, dtype=np.int64)]
+    )
+    idle = ~np.isin(pair_ids, occupied_ids)
 
-    tiles: dict[int, dict[str, Any]] = {}
-    for pair in chip.pairs:
-        tile = tiles.get(pair.tile_id)
-        if tile is None:
-            tile = tiles[pair.tile_id] = {
-                "tile": pair.tile_id, "cells": 0, "faulty": 0,
-                "sa0": 0, "sa1": 0, "quarantined": 0,
-            }
-        idle = pair.pair_id not in occupied
-        for xb in (pair.pos, pair.neg):
-            fmap = xb.fault_map
-            sa0 = fmap.count(FaultType.SA0)
-            sa1 = fmap.count(FaultType.SA1)
-            tile["cells"] += fmap.cells
-            tile["sa0"] += sa0
-            tile["sa1"] += sa1
-            tile["faulty"] += sa0 + sa1
-            if idle:
-                tile["quarantined"] += sa0 + sa1
-    tile_rows = [tiles[t] for t in sorted(tiles)]
+    tile_ids, tile_index = np.unique(pair_tiles, return_inverse=True)
+
+    def per_tile(pair_values: np.ndarray) -> list[int]:
+        sums = np.bincount(tile_index, weights=pair_values,
+                           minlength=tile_ids.size)
+        return sums.astype(np.int64).tolist()
+
+    pair_sa0 = xb_sa0[pos] + xb_sa0[neg]
+    pair_sa1 = xb_sa1[pos] + xb_sa1[neg]
+    tile_cells = per_tile(np.full(pair_ids.size, 2 * codes[0].size))
+    tile_sa0 = per_tile(pair_sa0)
+    tile_sa1 = per_tile(pair_sa1)
+    tile_quarantined = per_tile(np.where(idle, pair_sa0 + pair_sa1, 0))
+    tile_rows = [
+        {
+            "tile": tile, "cells": tile_cells[i],
+            "faulty": tile_sa0[i] + tile_sa1[i],
+            "sa0": tile_sa0[i], "sa1": tile_sa1[i],
+            "quarantined": tile_quarantined[i],
+        }
+        for i, tile in enumerate(tile_ids.tolist())
+    ]
     for row in tile_rows:
         row["density"] = row["faulty"] / row["cells"] if row["cells"] else 0.0
     cells = sum(t["cells"] for t in tile_rows)
@@ -93,6 +109,7 @@ def chip_health(chip) -> dict[str, Any]:
         # summary row per member.  ``free_pairs`` uses the *global*
         # occupancy — a pair hosting an evicted foreign task is busy even
         # though its own chip's mappings never mention it.
+        occupied = set(occupied_ids.tolist())
         for row in tile_rows:
             row["chip"] = chip.chip_of_tile(row["tile"]).chip_id
         chip_rows = []

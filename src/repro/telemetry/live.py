@@ -459,10 +459,17 @@ class LiveAggregator:
         if self._closed:
             return
         self._closed = True
+        # close() alone does not wake a thread blocked in accept() on
+        # Linux; shutting the listening socket down does.
+        try:
+            self._server.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         try:
             self._server.close()
         except OSError:
             pass
+        self._accept_thread.join(timeout=5.0)
 
 
 # --------------------------------------------------------------------- #

@@ -13,8 +13,11 @@ from repro.bist.density import BistResult, pair_density_estimates, run_bist, sca
 from repro.bist.fsm import BistController, BistState
 from repro.bist.timing import BistTiming
 from repro.faults.types import FaultMap, FaultType
+from repro.fleet import ChipFleet, plan_placement
+from repro.nn.models import build_model
 from repro.reram.chip import Chip
 from repro.reram.crossbar import Crossbar
+from repro.telemetry import Telemetry
 from repro.utils.config import CrossbarConfig
 
 
@@ -89,6 +92,70 @@ class TestDensityEstimation:
         assert pair_est[0] == pytest.approx(
             0.5 * (densities[0] + densities[1])
         )
+
+
+def _faulty_chip(chip_config, chips: int, regime: str, seed: int):
+    """A chip (or a ``chips``-member fleet) with one fault regime applied."""
+    if chips == 1:
+        chip = Chip(chip_config)
+    else:
+        model = build_model("vgg11", 10, 0.125, np.random.default_rng(3))
+        chip = ChipFleet(chip_config, plan_placement(model, chips, chip_config))
+    rng = np.random.default_rng(seed)
+    density = {"fault-free": 0.0, "sa1-only": 0.02,
+               "sparse": 0.005, "dense": 0.06}[regime]
+    for xb in chip.crossbars:
+        fm = xb.fault_map
+        cells = rng.choice(fm.cells, rng.binomial(fm.cells, density),
+                           replace=False)
+        if regime == "sa1-only":
+            fm.inject(cells, FaultType.SA1)
+            continue
+        is_sa0 = rng.random(cells.size) < 0.9
+        fm.inject(cells[is_sa0], FaultType.SA0)
+        fm.inject(cells[~is_sa0], FaultType.SA1)
+    return chip
+
+
+class TestScanChipMatchesRunBist:
+    """The chip-wide pass is bit-identical to a loop of :func:`run_bist`."""
+
+    @pytest.mark.parametrize("chips", [1, 2])
+    @pytest.mark.parametrize(
+        "regime", ["fault-free", "sa1-only", "sparse", "dense"]
+    )
+    @pytest.mark.parametrize("noise", [0.01, 0.0])
+    def test_bit_identical(self, chip_config, chips, regime, noise):
+        chip = _faulty_chip(chip_config, chips, regime, seed=chips)
+        ref_rng = np.random.default_rng(42)
+        ref = np.empty(chip.num_crossbars)
+        sa0 = sa1 = 0
+        for xb in chip.crossbars:
+            res = run_bist(xb.fault_map, xb.config, ref_rng, noise)
+            ref[xb.xbar_id] = res.density
+            sa0 += res.sa0_count
+            sa1 += res.sa1_count
+
+        rng = np.random.default_rng(42)
+        tel = Telemetry(echo=False)
+        got = scan_chip(chip, rng, noise, telemetry=tel)
+
+        assert got.tobytes() == ref.tobytes()
+        (detail,) = tel.filter("bist_scan_detail")
+        assert detail["payload"] == {
+            "crossbars": chip.num_crossbars, "sa0_est": sa0, "sa1_est": sa1,
+        }
+        assert type(detail["payload"]["sa0_est"]) is int
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        if regime == "dense":
+            assert sa0 > 0 and sa1 > 0
+
+    def test_rejects_mixed_crossbar_configs(self, chip_config):
+        chip = Chip(chip_config)
+        chip.crossbars[-1].config = CrossbarConfig(rows=16, cols=16,
+                                                   read_voltage=0.2)
+        with pytest.raises(ValueError, match="share one config"):
+            scan_chip(chip, np.random.default_rng(0))
 
 
 class TestFsm:

@@ -4,6 +4,7 @@ final aggregate equality invariant."""
 
 import json
 import os
+import threading
 import time
 import urllib.request
 
@@ -138,6 +139,21 @@ class TestStreamingBus:
         tel.count("x")
         streamer.flush()
         streamer.close()  # no raise: monitoring is best-effort
+
+    def test_close_stops_the_accept_thread(self):
+        def accept_threads():
+            return {
+                t for t in threading.enumerate()
+                if t.name == "telemetry-aggregator" and t.is_alive()
+            }
+
+        before = accept_threads()
+        agg = LiveAggregator()
+        assert accept_threads() - before
+        t0 = time.perf_counter()
+        agg.close()
+        assert time.perf_counter() - t0 < 5.0
+        assert not accept_threads() - before
 
     def test_base_sink_joins_the_rollup(self):
         base = Telemetry(echo=False)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.reram.chip import Chip
+from repro.reram.chip import Chip, SpareExhaustedError
 
 
 @pytest.fixture
@@ -42,6 +42,17 @@ class TestHops:
         # router grid is 2x2; corner-to-corner = 2 hops
         assert chip.hop_count(0, last_tile) == 2
 
+    @pytest.mark.parametrize("base", [0, 3])
+    def test_hop_table_matches_hop_count(self, chip_config, base):
+        chip = Chip(chip_config, chip_id=base, pair_base=10 * base,
+                    tile_base=base, crossbar_base=20 * base, router_base=base)
+        table = chip.hop_table()
+        tiles = [t.tile_id for t in chip.tiles]
+        assert table.shape == (len(tiles), len(tiles))
+        for i, a in enumerate(tiles):
+            for j, b in enumerate(tiles):
+                assert table[i, j] == chip.hop_count(a, b)
+
 
 class TestAllocation:
     def test_allocation_round_robins_tiles(self, chip):
@@ -63,6 +74,32 @@ class TestAllocation:
         before = len(chip.idle_pair_ids())
         chip.allocate_layer_copy("l", "forward", (8, 8))
         assert len(chip.idle_pair_ids()) == before - 1
+
+
+class TestFreePairQueries:
+    def test_eviction_pair_is_cleanest_then_lowest_id(self, chip):
+        rng = np.random.default_rng(0)
+        # Few distinct values, so density ties are common.
+        density = rng.integers(0, 3, chip.num_pairs) / 100.0
+        for taken in range(chip.num_pairs + 1):
+            occupied = set(
+                rng.choice(chip.num_pairs, taken, replace=False).tolist()
+            )
+            free = [p for p in chip.allocatable_pair_ids() if p not in occupied]
+            assert chip.idle_pair_ids(occupied) == free
+            if not free:
+                with pytest.raises(SpareExhaustedError):
+                    chip.find_eviction_pair(occupied, density)
+                continue
+            expected = min(free, key=lambda p: (float(density[p]), p))
+            got = chip.find_eviction_pair(occupied, density)
+            assert got == expected and type(got) is int
+            assert chip.find_eviction_pair(occupied) == free[0]
+
+    def test_foreign_ids_in_occupancy_are_ignored(self, chip_config):
+        chip = Chip(chip_config, chip_id=1, pair_base=100)
+        outside = {0, 5, 99, 100 + chip.num_pairs}
+        assert chip.idle_pair_ids(outside) == chip.allocatable_pair_ids()
 
 
 class TestRemapPrimitives:

@@ -346,6 +346,24 @@ class TestInferenceServer:
         # everything resolved one way or the other; nothing hangs
         assert len(outcomes) == len(samples)
 
+    def test_non_drain_close_with_queued_requests_is_bounded(self, samples):
+        srv = InferenceServer(
+            _tiny(), ServeConfig(max_batch=4, max_wait_us=200_000, replicas=1)
+        )
+        # An idle dispatcher that never dequeues: every request submitted
+        # below is still queued in the batcher when close() runs.
+        srv.batcher.next_batch = lambda timeout=None: time.sleep(timeout)
+        time.sleep(0.5)  # let the in-progress real next_batch() time out
+        futures = [srv.submit(x) for x in samples]
+        t0 = time.perf_counter()
+        srv.close(drain=False, timeout=30.0)
+        assert time.perf_counter() - t0 < 2.0
+        assert not srv._dispatcher.is_alive()
+        for f in futures:
+            with pytest.raises(RuntimeError, match="server shut down"):
+                f.result(timeout=1)
+        assert srv.telemetry.counters["serve.failed"] == len(samples)
+
 
 # --------------------------------------------------------------------- #
 # process replicas: kill mid-batch, retry elsewhere, zero drops
