@@ -13,6 +13,7 @@ from repro.faults.distribution import (
     uniform_cells,
     clustered_cells,
     draw_pre_deployment_densities,
+    place_faults,
 )
 from repro.faults.injector import FaultInjector
 from repro.faults.endurance import WearTracker, EnduranceModel
@@ -24,6 +25,7 @@ __all__ = [
     "uniform_cells",
     "clustered_cells",
     "draw_pre_deployment_densities",
+    "place_faults",
     "FaultInjector",
     "WearTracker",
     "EnduranceModel",

@@ -15,11 +15,74 @@ import math
 
 import numpy as np
 
+from repro.faults.types import FaultMap, FaultType
+from repro.utils.config import FaultConfig
+
 __all__ = [
     "uniform_cells",
     "clustered_cells",
+    "place_faults",
     "draw_pre_deployment_densities",
 ]
+
+
+def _free_mask(total: int, forbidden: np.ndarray | None) -> np.ndarray | None:
+    """Flat mask of the cells not in ``forbidden`` (None if all are free)."""
+    if forbidden is None or len(forbidden) == 0:
+        return None
+    free = np.ones(total, dtype=bool)
+    free[np.asarray(forbidden, dtype=np.int64)] = False
+    return free
+
+
+def _uniform(
+    rng: np.random.Generator, total: int, count: int, free: np.ndarray | None
+) -> np.ndarray:
+    if free is None:
+        return rng.choice(total, size=min(count, total), replace=False)
+    pool = np.flatnonzero(free)
+    return rng.choice(pool, size=min(count, pool.size), replace=False)
+
+
+def _clustered(
+    rng: np.random.Generator,
+    rows: int,
+    cols: int,
+    count: int,
+    cluster_fraction: float,
+    free: np.ndarray | None,
+) -> np.ndarray:
+    """Clustered pick over the cells ``free`` allows; may clear picked
+    cells in ``free``, so callers pass a mask they own."""
+    count = min(count, rows * cols)
+    if count <= 0:
+        return np.empty(0, dtype=np.int64)
+    n_cluster = min(int(round(count * cluster_fraction)), count)
+    picked = np.empty(0, dtype=np.int64)
+    if n_cluster > 0:
+        # Window side: smallest square that can hold the clustered cells with
+        # ~50% slack so the cluster is dense but not a solid block.
+        side = max(1, math.ceil(math.sqrt(n_cluster * 1.5)))
+        side = min(side, rows, cols)
+        r0 = int(rng.integers(0, rows - side + 1))
+        c0 = int(rng.integers(0, cols - side + 1))
+        # Row-major window cells, ascending like the flat indices.
+        window = (
+            np.arange(r0 * cols, (r0 + side) * cols, cols)[:, None]
+            + np.arange(c0, c0 + side)
+        ).ravel()
+        if free is not None:
+            window = window[free[window]]
+        take = min(n_cluster, window.size)
+        if take > 0:
+            picked = rng.choice(window, size=take, replace=False)
+            if free is None:
+                free = np.ones(rows * cols, dtype=bool)
+            free[picked] = False
+    remainder = count - picked.size
+    if remainder <= 0:
+        return picked
+    return np.concatenate([picked, _uniform(rng, rows * cols, remainder, free)])
 
 
 def uniform_cells(
@@ -35,18 +98,10 @@ def uniform_cells(
     chosen (e.g. cells that are already stuck).  If fewer than ``count``
     candidates remain, all remaining candidates are returned.
     """
-    total = rows * cols
     if count < 0:
         raise ValueError("count must be non-negative")
-    if forbidden is None or len(forbidden) == 0:
-        candidates = total
-        picked = rng.choice(total, size=min(count, total), replace=False)
-        return np.asarray(picked, dtype=np.int64)
-    allowed = np.ones(total, dtype=bool)
-    allowed[np.asarray(forbidden, dtype=np.int64)] = False
-    pool = np.flatnonzero(allowed)
-    take = min(count, pool.size)
-    return np.asarray(rng.choice(pool, size=take, replace=False), dtype=np.int64)
+    total = rows * cols
+    return _uniform(rng, total, count, _free_mask(total, forbidden))
 
 
 def clustered_cells(
@@ -66,47 +121,51 @@ def clustered_cells(
     """
     if not (0.0 <= cluster_fraction <= 1.0):
         raise ValueError("cluster_fraction must lie in [0, 1]")
-    count = min(count, rows * cols)
-    if count <= 0:
-        return np.empty(0, dtype=np.int64)
-
-    n_cluster = int(round(count * cluster_fraction))
-    n_cluster = min(n_cluster, count)
-
-    chosen: list[np.ndarray] = []
-    taken = (
-        np.asarray(forbidden, dtype=np.int64)
-        if forbidden is not None
-        else np.empty(0, dtype=np.int64)
+    return _clustered(
+        rng, rows, cols, count, cluster_fraction,
+        _free_mask(rows * cols, forbidden),
     )
 
-    if n_cluster > 0:
-        # Window side: smallest square that can hold the clustered cells with
-        # ~50% slack so the cluster is dense but not a solid block.
-        side = max(1, math.ceil(math.sqrt(n_cluster * 1.5)))
-        side = min(side, rows, cols)
-        r0 = int(rng.integers(0, rows - side + 1))
-        c0 = int(rng.integers(0, cols - side + 1))
-        rr, cc = np.meshgrid(
-            np.arange(r0, r0 + side), np.arange(c0, c0 + side), indexing="ij"
+
+def place_faults(
+    rng: np.random.Generator,
+    fmap: FaultMap,
+    count: int,
+    config: FaultConfig,
+    post: bool,
+    clustered: bool | None = None,
+) -> int:
+    """Stick ``count`` new cells of ``fmap``; returns how many stuck.
+
+    The one fault placer behind pre-deployment, post-epoch, fault-wave and
+    phase-targeted injection.  Cells are picked among the still-healthy
+    ones, clustered (``config.cluster_fraction`` of them in one window)
+    unless ``clustered`` — default ``config.clustered`` — is off, then
+    split SA0/SA1 with ``config.sa0_probability(post)``.  Draw order per
+    call (DESIGN.md §3.2): ``integers`` for the window row, then column;
+    ``choice`` over the free window cells; ``choice`` over the remaining
+    free cells (over the plain cell count when no cell is excluded);
+    ``random`` for the SA0/SA1 split.  A draw of size zero is skipped.
+    """
+    if count <= 0:
+        return 0
+    if clustered is None:
+        clustered = config.clustered
+    free = fmap.codes.ravel() == FaultType.NONE
+    if free.all():
+        free = None
+    if clustered:
+        cells = _clustered(
+            rng, fmap.rows, fmap.cols, count, config.cluster_fraction, free
         )
-        window = (rr * cols + cc).ravel()
-        window = np.setdiff1d(window, taken, assume_unique=False)
-        take = min(n_cluster, window.size)
-        if take > 0:
-            picked = rng.choice(window, size=take, replace=False)
-            chosen.append(np.asarray(picked, dtype=np.int64))
-            taken = np.concatenate([taken, picked])
-
-    placed = sum(a.size for a in chosen)
-    remainder = count - placed
-    if remainder > 0:
-        spread = uniform_cells(rng, rows, cols, remainder, forbidden=taken)
-        chosen.append(spread)
-
-    if not chosen:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(chosen)
+    else:
+        cells = _uniform(rng, fmap.cells, count, free)
+    if cells.size == 0:
+        return 0
+    is_sa0 = rng.random(cells.size) < config.sa0_probability(post=post)
+    injected = fmap.inject(cells[is_sa0], FaultType.SA0)
+    injected += fmap.inject(cells[~is_sa0], FaultType.SA1)
+    return injected
 
 
 def draw_pre_deployment_densities(

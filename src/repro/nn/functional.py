@@ -80,39 +80,41 @@ def im2col(
 
     Returns ``(cols, OH, OW)``.  Row ordering is (n, oh, ow), column
     ordering is (c, kh, kw) — matching ``weight.reshape(out, -1)``.
+
+    The unfold runs channels-last: the input is read as ``(N, H, W, C)``
+    (a conv layer's output already is an NCHW view of such a buffer, so
+    this costs nothing there) and each of the ``KH*KW`` kernel offsets is
+    one strided slab copy straight into the ``(n, oh, ow, c, kh, kw)``
+    row layout.
     """
     n, c, h, w = x.shape
     oh = conv_output_size(h, kh, stride, pad)
     ow = conv_output_size(w, kw, stride, pad)
     fused = is_fused()
+    src = x.transpose(0, 2, 3, 1)
     if pad > 0:
+        # The padded copy never escapes this function: it comes from the
+        # step arena when fused and from the scratch pool otherwise.  The
+        # edge strips are zero-filled on every call (a pooled buffer may
+        # hold another layer's interior) and the interior overwritten —
+        # exactly what np.pad would produce.
+        hp, wp = h + 2 * pad, w + 2 * pad
         if fused:
-            # Arena-backed padded buffer: edge strips are zero-filled and
-            # the interior overwritten, producing exactly what np.pad
-            # would — without its fresh allocation each call.
-            hp, wp = h + 2 * pad, w + 2 * pad
-            padded = step_arena().take((n, c, hp, wp), x.dtype)
-            padded[:, :, :pad, :].fill(0.0)
-            padded[:, :, hp - pad:, :].fill(0.0)
-            padded[:, :, pad:hp - pad, :pad].fill(0.0)
-            padded[:, :, pad:hp - pad, wp - pad:].fill(0.0)
-            padded[:, :, pad:hp - pad, pad:wp - pad] = x
-            x = padded
+            padded = step_arena().take((n, hp, wp, c), x.dtype)
         else:
-            x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    # The 6-D gather buffer never escapes this function, so it comes from
-    # the scratch pool.  The returned patch matrix is captured by autograd
-    # closures and must be a fresh allocation while a graph is being
-    # built; in inference mode (no_grad) nothing outlives the layer's
-    # matmul, so it comes from the pool too.  The fused path instead
-    # draws it from the step arena: distinct within a step, recycled
-    # across steps (backward always completes before the next forward).
-    cols = _scratch("im2col", (n, c, kh, kw, oh, ow), x.dtype)
-    for i in range(kh):
-        i_end = i + stride * oh
-        for j in range(kw):
-            j_end = j + stride * ow
-            cols[:, :, i, j, :, :] = x[:, :, i:i_end:stride, j:j_end:stride]
+            padded = _scratch("im2col_pad", (n, hp, wp, c), x.dtype)
+        padded[:, :pad].fill(0.0)
+        padded[:, hp - pad:].fill(0.0)
+        padded[:, pad:hp - pad, :pad].fill(0.0)
+        padded[:, pad:hp - pad, wp - pad:].fill(0.0)
+        padded[:, pad:hp - pad, pad:wp - pad] = src
+        src = padded
+    # The returned patch matrix is captured by autograd closures and must
+    # be a fresh allocation while a graph is being built; in inference
+    # mode (no_grad) nothing outlives the layer's matmul, so it comes from
+    # the scratch pool.  The fused path instead draws it from the step
+    # arena: distinct within a step, recycled across steps (backward
+    # always completes before the next forward).
     out_shape = (n * oh * ow, c * kh * kw)
     if fused:
         out = step_arena().take(out_shape, x.dtype)
@@ -120,9 +122,12 @@ def im2col(
         out = np.empty(out_shape, dtype=x.dtype)
     else:
         out = _scratch("im2col_out", out_shape, x.dtype)
-    np.copyto(
-        out.reshape(n, oh, ow, c, kh, kw), cols.transpose(0, 4, 5, 1, 2, 3)
-    )
+    rows = out.reshape(n, oh, ow, c, kh, kw)
+    for i in range(kh):
+        i_end = i + stride * oh
+        for j in range(kw):
+            j_end = j + stride * ow
+            rows[..., i, j] = src[:, i:i_end:stride, j:j_end:stride]
     return out, oh, ow
 
 
@@ -136,31 +141,28 @@ def col2im(
 ) -> np.ndarray:
     """Fold patch-row gradients back onto the input (adjoint of im2col).
 
-    The result lives in a reusable scratch buffer: it is valid until the
-    next ``col2im`` call with the same shape, so callers must consume it
-    immediately (``Tensor.accumulate_grad`` copies or adds on the spot).
+    Accumulates channels-last, kernel offset by kernel offset, and returns
+    an NCHW view of the ``(N, H, W, C)`` buffer.  The result lives in a
+    reusable buffer: it is valid until the next ``col2im`` call with the
+    same shape, so callers must consume it immediately
+    (``Tensor.accumulate_grad`` copies or adds on the spot).
     """
     n, c, h, w = x_shape
     oh = conv_output_size(h, kh, stride, pad)
     ow = conv_output_size(w, kw, stride, pad)
-    cols = cols.reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
+    rows = cols.reshape(n, oh, ow, c, kh, kw)
+    hp, wp = h + 2 * pad, w + 2 * pad
     if is_fused():
-        x_padded = step_arena().take(
-            (n, c, h + 2 * pad, w + 2 * pad), cols.dtype
-        )
+        acc = step_arena().take((n, hp, wp, c), cols.dtype)
     else:
-        x_padded = _scratch(
-            "col2im", (n, c, h + 2 * pad, w + 2 * pad), cols.dtype
-        )
-    x_padded.fill(0.0)
+        acc = _scratch("col2im", (n, hp, wp, c), cols.dtype)
+    acc.fill(0.0)
     for i in range(kh):
         i_end = i + stride * oh
         for j in range(kw):
             j_end = j + stride * ow
-            x_padded[:, :, i:i_end:stride, j:j_end:stride] += cols[:, :, i, j, :, :]
-    if pad > 0:
-        return x_padded[:, :, pad:-pad, pad:-pad]
-    return x_padded
+            acc[:, i:i_end:stride, j:j_end:stride] += rows[..., i, j]
+    return acc[:, pad:hp - pad, pad:wp - pad].transpose(0, 3, 1, 2)
 
 
 # --------------------------------------------------------------------- #

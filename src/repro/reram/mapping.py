@@ -234,48 +234,27 @@ class LayerCopyMapping:
         if self._faults is not None and self._fault_version == fault_version:
             return self._faults
         m, n = self.matrix_shape
-        nbr, nbc = self.grid_shape
-        idx_parts: list[np.ndarray] = []
-        s1p: list[np.ndarray] = []
-        s0p: list[np.ndarray] = []
-        s1n: list[np.ndarray] = []
-        s0n: list[np.ndarray] = []
-        blk: list[np.ndarray] = []
-        for br, bc, pair_id in self.iter_blocks():
-            pair = pair_lookup(pair_id)
-            pos_codes = pair.pos.fault_map.codes
-            neg_codes = pair.neg.fault_map.codes
-            faulty = (pos_codes != FaultType.NONE) | (neg_codes != FaultType.NONE)
-            if not faulty.any():
-                continue
-            r, c = np.nonzero(faulty)
-            gr = r + br * self.block_rows
-            gc = c + bc * self.block_cols
-            keep = (gr < m) & (gc < n)
-            if not keep.any():
-                continue
-            r, c, gr, gc = r[keep], c[keep], gr[keep], gc[keep]
-            idx_parts.append(gr * n + gc)
-            pc = pos_codes[r, c]
-            nc = neg_codes[r, c]
-            s1p.append(pc == FaultType.SA1)
-            s0p.append(pc == FaultType.SA0)
-            s1n.append(nc == FaultType.SA1)
-            s0n.append(nc == FaultType.SA0)
-            blk.append(np.full(r.size, br * nbc + bc, dtype=np.int64))
-        if idx_parts:
-            faults = _FaultIndex(
-                np.concatenate(idx_parts),
-                np.concatenate(s1p),
-                np.concatenate(s0p),
-                np.concatenate(s1n),
-                np.concatenate(s0n),
-                np.concatenate(blk),
-            )
-        else:
-            empty_i = np.empty(0, dtype=np.int64)
-            empty_b = np.empty(0, dtype=bool)
-            faults = _FaultIndex(empty_i, empty_b, empty_b, empty_b, empty_b, empty_i)
+        pairs = [pair_lookup(pair_id) for pair_id in self.pair_ids.ravel().tolist()]
+        pos = np.stack([p.pos.fault_map.codes for p in pairs])
+        neg = np.stack([p.neg.fault_map.codes for p in pairs])
+        # (block, row, col) in C order: blocks in (br, bc) order, cells in
+        # row-major order within each block.
+        blk, r, c = np.nonzero((pos != FaultType.NONE) | (neg != FaultType.NONE))
+        nbc = self.grid_shape[1]
+        gr = r + (blk // nbc) * self.block_rows
+        gc = c + (blk % nbc) * self.block_cols
+        keep = (gr < m) & (gc < n)
+        blk, r, c = blk[keep], r[keep], c[keep]
+        pc = pos[blk, r, c]
+        nc = neg[blk, r, c]
+        faults = _FaultIndex(
+            gr[keep] * n + gc[keep],
+            pc == FaultType.SA1,
+            pc == FaultType.SA0,
+            nc == FaultType.SA1,
+            nc == FaultType.SA0,
+            blk,
+        )
         self._faults = faults
         self._fault_version = fault_version
         return faults

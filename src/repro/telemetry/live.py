@@ -577,6 +577,9 @@ class MetricsHTTPServer:
             self._httpd.server_close()
         except OSError:
             pass
+        # shutdown() returns once serve_forever has left its loop; the
+        # join bounds the thread's own exit as well.
+        self._thread.join(timeout=5.0)
 
 
 # --------------------------------------------------------------------- #

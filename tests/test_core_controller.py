@@ -1,10 +1,13 @@
 """Controller integration tests: full (tiny) experiments end to end."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.core.controller import (
     build_experiment,
+    inject_fault_wave,
     inject_phase_faults,
     run_experiment,
     size_chip_for_model,
@@ -79,6 +82,40 @@ class TestBuildExperiment:
         ctx = build_experiment(_tiny("none", pre_enabled=False, post_enabled=False))
         injected = inject_phase_faults(ctx, "forward", 0.01)
         assert injected > 0
+
+
+def _windowed_share(fmaps, density) -> float:
+    """Share of crossbars whose stuck cells all fit one cluster window
+    (the window the placer sizes for a fully clustered placement)."""
+    fits = 0
+    for fmap in fmaps:
+        rows, cols = np.nonzero(fmap.faulty_mask)
+        side = math.ceil(math.sqrt(round(density * fmap.cells) * 1.5))
+        fits += bool(np.ptp(rows) < side and np.ptp(cols) < side)
+    return fits / len(fmaps)
+
+
+class TestClusterFraction:
+    """Fault waves and phase faults place with ``faults.cluster_fraction``."""
+
+    @pytest.mark.parametrize("fraction,share", [(1.0, 1.0), (2 / 3, 0.0)])
+    def test_fault_wave(self, fraction, share):
+        ctx = build_experiment(_tiny(
+            "none", pre_enabled=False, post_enabled=False, wave_epoch=0,
+            wave_density=0.05, cluster_fraction=fraction,
+        ))
+        inject_fault_wave(ctx, 0)
+        assert _windowed_share(ctx.chip.fault_maps, 0.05) == share
+
+    @pytest.mark.parametrize("fraction,share", [(1.0, 1.0), (2 / 3, 0.0)])
+    def test_phase_faults(self, fraction, share):
+        ctx = build_experiment(_tiny(
+            "none", pre_enabled=False, post_enabled=False,
+            cluster_fraction=fraction,
+        ))
+        inject_phase_faults(ctx, "forward", 0.05)
+        hit = [m for m in ctx.chip.fault_maps if m.count()]
+        assert hit and _windowed_share(hit, 0.05) == share
 
 
 class TestRunExperiment:

@@ -1,13 +1,130 @@
 """Spatial fault-distribution tests."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.faults.distribution import (
     clustered_cells,
     draw_pre_deployment_densities,
+    place_faults,
     uniform_cells,
 )
+from repro.faults.types import FaultMap, FaultType
+from repro.utils.config import FaultConfig
+
+
+def reference_uniform_cells(rng, rows, cols, count, forbidden=None):
+    """The index-array picker the mask-based one replaced."""
+    total = rows * cols
+    if forbidden is None or len(forbidden) == 0:
+        picked = rng.choice(total, size=min(count, total), replace=False)
+        return np.asarray(picked, dtype=np.int64)
+    allowed = np.ones(total, dtype=bool)
+    allowed[np.asarray(forbidden, dtype=np.int64)] = False
+    pool = np.flatnonzero(allowed)
+    take = min(count, pool.size)
+    return np.asarray(rng.choice(pool, size=take, replace=False), dtype=np.int64)
+
+
+def reference_clustered_cells(rng, rows, cols, count, cluster_fraction=2 / 3,
+                              forbidden=None):
+    """The ``meshgrid`` / ``setdiff1d`` picker the mask-based one replaced."""
+    count = min(count, rows * cols)
+    if count <= 0:
+        return np.empty(0, dtype=np.int64)
+    n_cluster = min(int(round(count * cluster_fraction)), count)
+    chosen = []
+    taken = (
+        np.asarray(forbidden, dtype=np.int64)
+        if forbidden is not None
+        else np.empty(0, dtype=np.int64)
+    )
+    if n_cluster > 0:
+        side = max(1, math.ceil(math.sqrt(n_cluster * 1.5)))
+        side = min(side, rows, cols)
+        r0 = int(rng.integers(0, rows - side + 1))
+        c0 = int(rng.integers(0, cols - side + 1))
+        rr, cc = np.meshgrid(
+            np.arange(r0, r0 + side), np.arange(c0, c0 + side), indexing="ij"
+        )
+        window = np.setdiff1d((rr * cols + cc).ravel(), taken)
+        take = min(n_cluster, window.size)
+        if take > 0:
+            picked = rng.choice(window, size=take, replace=False)
+            chosen.append(np.asarray(picked, dtype=np.int64))
+            taken = np.concatenate([taken, picked])
+    remainder = count - sum(a.size for a in chosen)
+    if remainder > 0:
+        chosen.append(
+            reference_uniform_cells(rng, rows, cols, remainder, forbidden=taken)
+        )
+    if not chosen:
+        return np.empty(0, dtype=np.int64)
+    return np.concatenate(chosen)
+
+
+def _random_forbidden(seed, total):
+    rng = np.random.default_rng(seed)
+    fill = (0.0, 0.05, 0.5, 0.95, 1.0)[seed % 5]
+    return np.flatnonzero(rng.random(total) < fill)
+
+
+class TestMatchesIndexArrayPickers:
+    """Same cells, same dtype and the same generator state afterwards."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    @pytest.mark.parametrize("frac", [0.0, 0.3, 2 / 3, 1.0])
+    @pytest.mark.parametrize("rows,cols", [(16, 16), (6, 20), (3, 5)])
+    def test_clustered(self, seed, frac, rows, cols):
+        forbidden = _random_forbidden(seed, rows * cols)
+        count = (seed * 7) % (rows * cols + 3)
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = clustered_cells(a, rows, cols, count, frac, forbidden)
+        want = reference_clustered_cells(b, rows, cols, count, frac, forbidden)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert a.bit_generator.state == b.bit_generator.state
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_uniform(self, seed):
+        forbidden = _random_forbidden(seed, 12 * 9)
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = uniform_cells(a, 12, 9, seed * 5, forbidden)
+        want = reference_uniform_cells(b, 12, 9, seed * 5, forbidden)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert a.bit_generator.state == b.bit_generator.state
+
+
+class TestPlaceFaults:
+    def test_cluster_fraction_is_honoured(self):
+        """All cells of a fraction-1 placement fit one cluster window."""
+        for seed in range(10):
+            fmap = FaultMap(32, 32)
+            cfg = FaultConfig(cluster_fraction=1.0)
+            stuck = place_faults(np.random.default_rng(seed), fmap, 40, cfg,
+                                 post=True)
+            assert stuck == fmap.count() == 40
+            rows, cols = np.nonzero(fmap.faulty_mask)
+            side = math.ceil(math.sqrt(40 * 1.5))
+            assert np.ptp(rows) < side and np.ptp(cols) < side
+
+    def test_only_free_cells_and_sa_split(self):
+        fmap = FaultMap(8, 8)
+        fmap.inject(np.arange(0, 64, 2), FaultType.SA1)
+        before = fmap.codes.copy()
+        cfg = FaultConfig(sa0_sa1_ratio=1e9)  # practically all SA0
+        stuck = place_faults(np.random.default_rng(0), fmap, 100, cfg,
+                             post=False)
+        assert stuck == 32  # only the 32 free cells were left
+        assert np.array_equal(fmap.codes[before != 0], before[before != 0])
+        assert (fmap.codes[before == 0] == FaultType.SA0).all()
+
+    def test_zero_count_draws_nothing(self):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        assert place_faults(rng, FaultMap(4, 4), 0, FaultConfig(), post=True) == 0
+        assert rng.bit_generator.state == state
 
 
 class TestUniformCells:

@@ -249,6 +249,19 @@ class TestMetricsEndpoint:
             http.close()
             agg.close()
 
+    def test_http_close_joins_the_server_thread(self):
+        agg = LiveAggregator()
+        try:
+            http = MetricsHTTPServer(agg, port=0)
+            thread = http._thread
+            assert thread.name == "repro-metrics-http" and thread.is_alive()
+            t0 = time.perf_counter()
+            http.close()
+            assert time.perf_counter() - t0 < 5.0
+            assert not thread.is_alive()
+        finally:
+            agg.close()
+
 
 # --------------------------------------------------------------------- #
 # SLO rules engine

@@ -127,3 +127,55 @@ class TestFastPathMechanics:
         chip.bump_fault_version()
         idx3 = mapping._fault_index(chip.pair, chip.fault_version)
         assert idx3 is not idx1
+
+
+def reference_fault_index(mapping, pair_lookup):
+    """The per-block loop the one-gather ``_fault_index`` replaced."""
+    m, n = mapping.matrix_shape
+    nbc = mapping.grid_shape[1]
+    parts = {key: [] for key in ("idx", "sa1_pos", "sa0_pos", "sa1_neg",
+                                 "sa0_neg", "block")}
+    for br, bc, pair_id in mapping.iter_blocks():
+        pair = pair_lookup(pair_id)
+        pos_codes = pair.pos.fault_map.codes
+        neg_codes = pair.neg.fault_map.codes
+        faulty = (pos_codes != FaultType.NONE) | (neg_codes != FaultType.NONE)
+        if not faulty.any():
+            continue
+        r, c = np.nonzero(faulty)
+        gr = r + br * mapping.block_rows
+        gc = c + bc * mapping.block_cols
+        keep = (gr < m) & (gc < n)
+        if not keep.any():
+            continue
+        r, c, gr, gc = r[keep], c[keep], gr[keep], gc[keep]
+        parts["idx"].append(gr * n + gc)
+        pc = pos_codes[r, c]
+        nc = neg_codes[r, c]
+        parts["sa1_pos"].append(pc == FaultType.SA1)
+        parts["sa0_pos"].append(pc == FaultType.SA0)
+        parts["sa1_neg"].append(nc == FaultType.SA1)
+        parts["sa0_neg"].append(nc == FaultType.SA0)
+        parts["block"].append(np.full(r.size, br * nbc + bc, dtype=np.int64))
+    empty = {"idx": np.int64, "block": np.int64}
+    return {
+        key: np.concatenate(v) if v else np.empty(0, dtype=empty.get(key, bool))
+        for key, v in parts.items()
+    }
+
+
+class TestFaultIndexOracle:
+    @pytest.mark.parametrize("density", [0.0, 0.004, 0.05, 0.3])
+    @pytest.mark.parametrize("shape", [(16, 16), (20, 28), (40, 9)])
+    def test_matches_per_block_loop(self, chip, rng, density, shape):
+        # (20, 28) and (40, 9) put faults on the padded fringe, which both
+        # versions must drop; several blocks check the block-major order.
+        mapping = chip.allocate_layer_copy("l", "backward", shape)
+        _inject_random(chip, mapping, rng, density)
+        got = mapping._fault_index(chip.pair, chip.fault_version)
+        expected = reference_fault_index(mapping, chip.pair)
+        for key, want in expected.items():
+            have = getattr(got, key)
+            assert have.dtype == want.dtype, key
+            assert have.tobytes() == want.tobytes(), key
+        assert got.empty == (expected["idx"].size == 0)
