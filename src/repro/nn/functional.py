@@ -33,10 +33,10 @@ __all__ = [
 # --------------------------------------------------------------------- #
 # im2col / col2im
 # --------------------------------------------------------------------- #
-#: reusable scratch arrays for the unfold/fold temporaries, keyed by
-#: (tag, shape, dtype).  Conv layers hit the same handful of shapes every
-#: batch, so the pool stays small while eliminating the largest per-batch
-#: allocations.  The pool is *per thread*: the serving plane runs one
+#: reusable scratch arrays for the unfold/fold and batch-norm eval
+#: temporaries, keyed by (tag, shape, dtype).  Layers hit the same handful
+#: of shapes every batch, so the pool stays small while eliminating the
+#: largest per-batch allocations.  The pool is *per thread*: the serving plane runs one
 #: forward per replica thread concurrently, and identical shapes on two
 #: threads must never share a buffer (the parallel benchmark runner forks
 #: whole processes, each with its own pools).
@@ -202,30 +202,47 @@ def maxpool2d(x: Tensor, kernel: int = 2) -> Tensor:
 
     The input spatial size must be divisible by ``kernel`` — the models in
     this repository are built so that it always is.
+
+    A first-max where-chain: the ``kernel x kernel`` window offsets are
+    strided views of the input (free in any memory layout; a conv stack's
+    channels-last activations keep their unit-stride channel axis), walked
+    in row-major order with a strict ``>``.  Ties therefore keep the
+    earliest cell, exactly as ``argmax`` does (ReLU zeros, ``+-0.0``,
+    equal values); a NaN counts only in a window's first cell.  The output
+    is C-contiguous NCHW; with autograd on, an int8 offset code per output
+    element (same layout) routes the backward gradient.
     """
     n, c, h, w = x.shape
     if h % kernel or w % kernel:
         raise ValueError(f"maxpool2d: spatial dims ({h},{w}) not divisible by {kernel}")
-    oh, ow = h // kernel, w // kernel
-    windows = x.data.reshape(n, c, oh, kernel, ow, kernel)
-    flat = windows.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, oh, ow, kernel * kernel)
-    arg = flat.argmax(axis=-1)
-    out_data = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
+    track = is_grad_enabled() and x.requires_grad
+    fused = is_fused()
+    best = x.data[:, :, 0::kernel, 0::kernel]
+    code = np.int8(0)
+    for k in range(1, kernel * kernel):
+        cand = x.data[:, :, k // kernel::kernel, k % kernel::kernel]
+        wins = cand > best
+        best = np.where(wins, cand, best)
+        if track:
+            code = np.where(wins, np.int8(k), code)
+    out_data = np.array(best, order="C")
+    if not track:
+        return Tensor(out_data)
+    code = np.ascontiguousarray(code)  # kernel 1: a broadcast zero
 
     def bwd(grad: np.ndarray) -> None:
         if not x.requires_grad:
             return
-        # Scratch-pool window buffer: consumed immediately by the reshape
-        # copy below, so reuse across batches is safe.
-        gflat = _scratch("maxpool_bwd", flat.shape, flat.dtype)
-        gflat.fill(0.0)
-        np.put_along_axis(gflat, arg[..., None], grad[..., None], axis=-1)
-        gx = (
-            gflat.reshape(n, c, oh, ow, kernel, kernel)
-            .transpose(0, 1, 2, 4, 3, 5)
-            .reshape(n, c, h, w)
-        )
-        x.accumulate_grad(gx)
+        # Every input cell lies in exactly one window offset, so the
+        # offset writes cover the buffer.  Fused, it is the arena buffer
+        # accumulate_grad would have copied into, donated instead.
+        if fused and x.grad is None:
+            gx = step_arena().take((n, c, h, w), x.data.dtype)
+        else:
+            gx = np.empty((n, c, h, w), x.data.dtype)
+        for k in range(kernel * kernel):
+            gx[:, :, k // kernel::kernel, k % kernel::kernel] = np.where(code == k, grad, 0)
+        x.accumulate_grad(gx, donate=True)
 
     return Tensor(out_data, parents=(x,), backward=bwd)
 

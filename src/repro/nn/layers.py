@@ -20,7 +20,13 @@ from typing import Iterator
 import numpy as np
 
 from repro.nn import functional as F
-from repro.nn.tensor import Tensor, is_fused, is_grad_enabled, step_arena
+from repro.nn.tensor import (
+    Tensor,
+    get_default_dtype,
+    is_fused,
+    is_grad_enabled,
+    step_arena,
+)
 
 __all__ = [
     "Parameter",
@@ -48,8 +54,6 @@ class Parameter:
     """
 
     def __init__(self, data: np.ndarray):
-        from repro.nn.tensor import get_default_dtype
-
         self.data = np.asarray(data, dtype=get_default_dtype())
         self.grad = np.zeros_like(self.data)
         self.version = 0
@@ -388,15 +392,14 @@ class BatchNorm2d(Module):
             raise ValueError(
                 f"BatchNorm2d({self.channels}) got input of shape {x.shape}"
             )
-        if is_fused() and self.training:
+        if not self.training:
+            return self._forward_eval(x)
+        if is_fused():
             return self._forward_fused(x)
         axes = (0, 2, 3)
-        if self.training:
-            mean = x.data.mean(axis=axes)
-            var = x.data.var(axis=axes)
-            self._update_stats(mean, var)
-        else:
-            mean, var = self.running_mean, self.running_var
+        mean = x.data.mean(axis=axes)
+        var = x.data.var(axis=axes)
+        self._update_stats(mean, var)
         std = np.sqrt(var + self.eps)
         xhat = (x.data - mean[None, :, None, None]) / std[None, :, None, None]
         out_data = (
@@ -404,8 +407,6 @@ class BatchNorm2d(Module):
             + self.beta.data[None, :, None, None]
         )
         gamma, beta = self.gamma, self.beta
-        m = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
-        training = self.training
 
         def bwd(grad: np.ndarray) -> None:
             gamma.grad += (grad * xhat).sum(axis=axes)
@@ -413,13 +414,61 @@ class BatchNorm2d(Module):
             if not x.requires_grad:
                 return
             g = gamma.data[None, :, None, None]
-            if training:
-                mean_g = grad.mean(axis=axes, keepdims=True)
-                mean_gx = (grad * xhat).mean(axis=axes, keepdims=True)
-                dx = (g / std[None, :, None, None]) * (grad - mean_g - xhat * mean_gx)
-            else:
-                dx = (g / std[None, :, None, None]) * grad
+            mean_g = grad.mean(axis=axes, keepdims=True)
+            mean_gx = (grad * xhat).mean(axis=axes, keepdims=True)
+            dx = (g / std[None, :, None, None]) * (grad - mean_g - xhat * mean_gx)
             x.accumulate_grad(dx)
+
+        return Tensor(out_data, parents=(x,), backward=bwd)
+
+    def _forward_eval(self, x: Tensor) -> Tensor:
+        """Normalise with the running statistics (grad on or off).
+
+        Computes ``(x - mean) / std``, then ``* gamma``, then ``+ beta`` in
+        the running-stat dtype, as ``out=`` passes through one temporary;
+        the last add stores straight into the tensor dtype in the input's
+        memory layout.  Channels-last activations (a conv output's NCHW
+        view) run on the ``(N*H, W*C)`` row view against the per-channel
+        vectors tiled ``W`` times: the same elements and values, in long
+        inner loops.
+        """
+        xd = x.data
+        n, c, h, w = xd.shape
+        std = np.sqrt(self.running_var + self.eps)
+        stats = (self.running_mean, std, self.gamma.data, self.beta.data)
+        dtype = np.result_type(xd, *stats)
+        rows = xd.transpose(0, 2, 3, 1)
+        channels_last = rows.flags.c_contiguous and not xd.flags.c_contiguous
+        if channels_last:
+            src = rows.reshape(n * h, w * c)
+            dst = np.empty(src.shape, get_default_dtype())
+            out_data = dst.reshape(n, h, w, c).transpose(0, 3, 1, 2)
+            mean_b, std_b, gamma_b, beta_b = (np.tile(v, w) for v in stats)
+        else:
+            src = xd
+            dst = out_data = np.empty_like(xd, dtype=get_default_dtype())
+            mean_b, std_b, gamma_b, beta_b = (v[:, None, None] for v in stats)
+        grad_on = is_grad_enabled() and x.requires_grad
+        t = F._scratch("bn_eval", src.shape, dtype)
+        # A backward closure captures xhat, so it is fresh when grad is on.
+        xhat = np.empty_like(src, dtype=dtype) if grad_on else t
+        np.subtract(src, mean_b, out=xhat)
+        np.divide(xhat, std_b, out=xhat)
+        np.multiply(xhat, gamma_b, out=t)
+        np.add(t, beta_b, out=dst, casting="same_kind")
+        if not grad_on:
+            return Tensor(out_data)
+        if channels_last:
+            xhat = xhat.reshape(n, h, w, c).transpose(0, 3, 1, 2)
+        axes = (0, 2, 3)
+        gamma, beta = self.gamma, self.beta
+
+        def bwd(grad: np.ndarray) -> None:
+            gamma.grad += (grad * xhat).sum(axis=axes)
+            beta.grad += grad.sum(axis=axes)
+            if x.requires_grad:
+                g = gamma.data[None, :, None, None]
+                x.accumulate_grad((g / std[None, :, None, None]) * grad)
 
         return Tensor(out_data, parents=(x,), backward=bwd)
 

@@ -411,8 +411,8 @@ class LayerCopyMapping:
         next matrix seen.
         """
         scales = self.scales if which == "weight" else self.grad_scales
-        stale = np.isnan(scales)
-        if stale.any():
+        stale_br, stale_bc = np.nonzero(np.isnan(scales))
+        if stale_br.size:
             rows, cols = self.block_rows, self.block_cols
             nbr, nbc = self.grid_shape
             padded = pad_to_blocks(np.asarray(matrix, dtype=np.float64), rows, cols)
@@ -420,14 +420,15 @@ class LayerCopyMapping:
             # bulk of the block's distribution (99th percentile), so a few
             # fault-drifted outlier values cannot inflate the range when a
             # block is recalibrated after a remap — they saturate instead,
-            # exactly as the physical devices would.
-            blocks = np.abs(padded.reshape(nbr, rows, nbc, cols))
-            block_ref = np.quantile(blocks, 0.99, axis=(1, 3))
+            # exactly as the physical devices would.  Only the stale
+            # blocks are measured: each block's quantile is independent.
+            blocks = padded.reshape(nbr, rows, nbc, cols)[stale_br, :, stale_bc, :]
+            block_ref = np.quantile(np.abs(blocks), 0.99, axis=(1, 2))
             headroom = (
                 self.scale_headroom if which == "weight" else self.grad_scale_headroom
             )
-            fresh = headroom * np.where(block_ref > 0, block_ref, 1.0)
-            scales = np.where(stale, fresh, scales)
+            scales = scales.copy()
+            scales[stale_br, stale_bc] = headroom * np.where(block_ref > 0, block_ref, 1.0)
             if which == "weight":
                 self.scales = scales
             else:

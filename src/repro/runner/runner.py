@@ -54,6 +54,7 @@ per-process cache (:mod:`repro.nn.data`).
 
 from __future__ import annotations
 
+import ctypes
 import multiprocessing as mp
 import os
 import signal
@@ -235,6 +236,56 @@ def _limit_worker_threads() -> None:
         pass
 
 
+#: (set, get) thread-count entry points of the OpenBLAS builds NumPy ships
+#: with (scipy-openblas wheels, 64-bit and 32-bit integer) or links to.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+def _openblas_thread_calls() -> tuple[Callable, Callable] | None:
+    """``(set_num_threads, get_num_threads)`` of the loaded OpenBLAS.
+
+    Looks only at libraries this process has already mapped (Linux), so
+    it finds the pool NumPy itself uses; ``None`` when there is none.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({
+                line.split()[-1] for line in fh if "openblas" in line.lower()
+            })
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for set_name, get_name in _OPENBLAS_THREAD_SYMBOLS:
+            setter = getattr(lib, set_name, None)
+            getter = getattr(lib, get_name, None)
+            if setter is not None and getter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                return setter, getter
+    return None
+
+
+def _pin_loaded_blas_pool() -> None:
+    """Shrink an already-started OpenBLAS pool to one thread (best effort).
+
+    ``OPENBLAS_NUM_THREADS`` only reaches a pool that has not started; a
+    forked worker inherits the parent's thread count, and a spawned one
+    has imported NumPy before its initializer runs.
+    """
+    calls = _openblas_thread_calls()
+    if calls is not None:
+        calls[0](1)
+
+
 # --------------------------------------------------------------------- #
 # shared dataset cache plumbing
 # --------------------------------------------------------------------- #
@@ -345,6 +396,7 @@ def _attach_datasets_shm(specs: list[dict]) -> None:
 
 def _init_worker(shm_specs: list[dict] | None = None) -> None:
     _limit_worker_threads()
+    _pin_loaded_blas_pool()
     if shm_specs:
         _attach_datasets_shm(shm_specs)
 

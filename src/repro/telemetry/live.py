@@ -118,6 +118,17 @@ def _send_frame(sock: socket.socket, payload: dict[str, Any]) -> None:
     sock.sendall(struct.pack(">I", len(body)) + body)
 
 
+def _shutdown(sock: socket.socket | None) -> None:
+    """Shut both directions down: wakes a thread blocked on the socket,
+    which ``close()`` alone does not do on Linux."""
+    if sock is None:
+        return
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+
+
 def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
     chunks = []
     while n:
@@ -243,13 +254,25 @@ class DeltaStreamer:
         return True
 
     def close(self) -> None:
-        """Final flush, then tear the connection down."""
+        """Stop the thread, final flush, then tear the connection down.
+
+        Bounded: a thread still blocked in ``sendall`` after the first
+        join (a peer that stopped reading) is woken by shutting the socket
+        down, and the final flush runs only once the thread is gone — never
+        concurrently with it on the same socket.
+        """
         self._stop.set()
-        if self._thread is not None and self._thread.is_alive():
-            self._thread.join(timeout=2.0)
-        self.flush()
+        thread = self._thread
+        if thread is not None:
+            thread.join(timeout=2.0)
+            if thread.is_alive():
+                _shutdown(self._sock)
+                thread.join(timeout=2.0)
+        if thread is None or not thread.is_alive():
+            self.flush()
         sock, self._sock = self._sock, None
         if sock is not None:
+            _shutdown(sock)
             try:
                 sock.close()
             except OSError:
@@ -459,12 +482,8 @@ class LiveAggregator:
         if self._closed:
             return
         self._closed = True
-        # close() alone does not wake a thread blocked in accept() on
-        # Linux; shutting the listening socket down does.
-        try:
-            self._server.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
+        # close() alone does not wake a thread blocked in accept().
+        _shutdown(self._server)
         try:
             self._server.close()
         except OSError:

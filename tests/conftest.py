@@ -1,4 +1,11 @@
-"""Shared fixtures: small hardware geometries that keep tests fast."""
+"""Shared fixtures: small hardware geometries that keep tests fast, and
+a guard that fails any test leaving a thread, child process or
+shared-memory segment behind."""
+
+import multiprocessing as mp
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -53,3 +60,42 @@ def tiny_train_config() -> TrainConfig:
         width_mult=0.125,
         image_size=32,
     )
+
+
+#: how long a test's threads, children and segments get to wind down.
+LEAK_GRACE_S = 1.0
+
+
+def _shm_entries() -> set[str]:
+    try:
+        return set(os.listdir("/dev/shm"))
+    except OSError:  # no /dev/shm on this platform
+        return set()
+
+
+def _leaks(threads: set, children: set[int], shm: set[str]) -> list[str]:
+    found = [
+        f"thread {t.name!r}" for t in threading.enumerate()
+        if t.is_alive() and t not in threads
+    ]
+    found += [
+        f"child process {p.pid} ({p.name})" for p in mp.active_children()
+        if p.pid not in children
+    ]
+    found += [f"/dev/shm/{name}" for name in sorted(_shm_entries() - shm)]
+    return found
+
+
+@pytest.fixture(autouse=True)
+def no_leaks():
+    """Fail a test that leaves behind, after a short grace, a live thread,
+    a multiprocessing child or a /dev/shm entry it created."""
+    threads = set(threading.enumerate())
+    children = {p.pid for p in mp.active_children()}
+    shm = _shm_entries()
+    yield
+    deadline = time.monotonic() + LEAK_GRACE_S
+    while (leaked := _leaks(threads, children, shm)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if leaked:
+        pytest.fail("test leaked: " + ", ".join(leaked), pytrace=False)

@@ -4,6 +4,7 @@ final aggregate equality invariant."""
 
 import json
 import os
+import socket
 import threading
 import time
 import urllib.request
@@ -139,6 +140,37 @@ class TestStreamingBus:
         tel.count("x")
         streamer.flush()
         streamer.close()  # no raise: monitoring is best-effort
+
+    def test_close_is_bounded_against_a_peer_that_never_reads(self):
+        """A streamer blocked in ``sendall`` is shut down, not waited out
+        (the send timeout is 5 s), and no final flush races it."""
+        peer = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        peer.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        peer.bind(("127.0.0.1", 0))
+        peer.listen(1)
+        conn = None
+        tel = Telemetry(echo=False)
+        for i in range(6):  # ~6 MB: far more than the socket buffers hold
+            tel.event("blob", i=i, payload="x" * 1_000_000)
+        streamer = DeltaStreamer(
+            tel, "127.0.0.1:%d" % peer.getsockname()[1], "stuck", interval=0.05
+        )
+        try:
+            conn, _ = peer.accept()
+            thread = streamer._thread
+            assert thread is not None
+            time.sleep(0.5)  # the first flush is now stuck in sendall
+            assert thread.is_alive()
+            t0 = time.perf_counter()
+            streamer.close()
+            assert time.perf_counter() - t0 < 4.0
+            assert not thread.is_alive()
+            assert not streamer.connected
+        finally:
+            streamer.close()
+            if conn is not None:
+                conn.close()
+            peer.close()
 
     def test_close_stops_the_accept_thread(self):
         def accept_threads():

@@ -11,6 +11,7 @@ import pytest
 
 from repro.faults.types import FaultType
 from repro.reram.chip import Chip
+from repro.reram.mapping import pad_to_blocks
 
 
 @pytest.fixture
@@ -179,3 +180,42 @@ class TestFaultIndexOracle:
             assert have.dtype == want.dtype, key
             assert have.tobytes() == want.tobytes(), key
         assert got.empty == (expected["idx"].size == 0)
+
+
+def reference_refresh_scales(mapping, matrix, scales, headroom):
+    """The all-block recalibration: every block's quantile, stale kept."""
+    rows, cols = mapping.block_rows, mapping.block_cols
+    nbr, nbc = mapping.grid_shape
+    padded = pad_to_blocks(np.asarray(matrix, dtype=np.float64), rows, cols)
+    blocks = np.abs(padded.reshape(nbr, rows, nbc, cols))
+    block_ref = np.quantile(blocks, 0.99, axis=(1, 3))
+    fresh = headroom * np.where(block_ref > 0, block_ref, 1.0)
+    return np.where(np.isnan(scales), fresh, scales)
+
+
+class TestStaleOnlyRecalibration:
+    @pytest.mark.parametrize("which", ["weight", "grad"])
+    @pytest.mark.parametrize("shape", [(16, 16), (40, 52)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_all_block_quantile(self, chip, rng, which, shape, dtype):
+        mapping = chip.allocate_layer_copy("l", "forward", shape)
+        mapping._refresh_scales(rng.normal(0, 0.1, shape).astype(dtype), which)
+        attr = "scales" if which == "weight" else "grad_scales"
+        calibrated = getattr(mapping, attr)
+        stale = rng.random(calibrated.shape) < 0.5
+        stale.flat[0] = True
+        stale.flat[-1] = len(stale.flat) == 1
+        calibrated[stale] = np.nan
+        before = calibrated.copy()
+        matrix = rng.normal(0, 0.3, shape).astype(dtype)
+        matrix[:16, :16] = 0.0  # an all-zero block takes the 1.0 fallback
+        headroom = (
+            mapping.scale_headroom if which == "weight" else mapping.grad_scale_headroom
+        )
+        expected = reference_refresh_scales(mapping, matrix, before, headroom)
+        got = mapping._refresh_scales(matrix, which)
+        assert got is getattr(mapping, attr) and got is not calibrated
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+        assert got[~stale].tobytes() == before[~stale].tobytes()
+        assert not np.isnan(got).any()

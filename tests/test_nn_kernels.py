@@ -1,13 +1,17 @@
-"""Byte-for-byte oracle tests for the im2col / col2im kernels.
+"""Byte-for-byte oracle tests for the im2col / col2im, max-pool and
+batch-norm eval kernels.
 
 ``reference_im2col`` / ``reference_col2im`` keep the NCHW formulation the
 channels-last kernels replaced: pad with ``np.pad``, gather into a 6-D
 ``(n, c, kh, kw, oh, ow)`` buffer, then transpose into patch rows; fold
-back by accumulating each kernel offset into an NCHW buffer.  The fused
-and reference training loops share the production kernels, so their
-agreement cannot catch a change in both; these tests can, in float32 and
-float64, for C-contiguous inputs and for the channels-last-backed NCHW
-views that conv layers emit.
+back by accumulating each kernel offset into an NCHW buffer.
+``reference_maxpool2d`` keeps the argmax / ``take_along_axis`` /
+``put_along_axis`` pooling the where-chain replaced, and
+``reference_bn_eval`` the allocating float64 eval branch of
+``BatchNorm2d``.  The fused and reference training loops share the
+production kernels, so their agreement cannot catch a change in both;
+these tests can, in float32 and float64, for C-contiguous inputs and for
+the channels-last-backed NCHW views that conv layers emit.
 """
 
 import itertools
@@ -16,7 +20,8 @@ import numpy as np
 import pytest
 
 from repro.nn import functional as F
-from repro.nn.tensor import fused_mode, no_grad, step_arena
+from repro.nn.layers import BatchNorm2d
+from repro.nn.tensor import Tensor, default_dtype, fused_mode, no_grad, step_arena
 
 
 def reference_im2col(x, kh, kw, stride, pad):
@@ -141,3 +146,182 @@ def test_reused_padded_buffers_carry_no_stale_edges(mode):
         assert got.tobytes() == expected.tobytes()
         assert fold.tobytes() == expected_fold.tobytes()
     step_arena().reset()
+
+
+# --------------------------------------------------------------------- #
+# max-pool
+# --------------------------------------------------------------------- #
+def reference_maxpool2d(x, kernel):
+    n, c, h, w = x.shape
+    oh, ow = h // kernel, w // kernel
+    windows = x.data.reshape(n, c, oh, kernel, ow, kernel)
+    flat = windows.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, oh, ow, kernel * kernel)
+    arg = flat.argmax(axis=-1)
+    out_data = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
+
+    def bwd(grad):
+        if not x.requires_grad:
+            return
+        gflat = np.zeros(flat.shape, flat.dtype)
+        np.put_along_axis(gflat, arg[..., None], grad[..., None], axis=-1)
+        gx = (
+            gflat.reshape(n, c, oh, ow, kernel, kernel)
+            .transpose(0, 1, 2, 4, 3, 5)
+            .reshape(n, c, h, w)
+        )
+        x.accumulate_grad(gx)
+
+    return Tensor(out_data, parents=(x,), backward=bwd)
+
+
+def _tie_heavy(shape, dtype, layout, kernel, seed):
+    """ReLU zeros, signed zeros, repeated positives and all-zero windows."""
+    n, c, h, w = shape
+    rng = np.random.default_rng(seed)
+    base = rng.choice(np.array([-0.0, 0.0, 0.0, 0.5, 1.0, 1.0, 2.5, -3.0]), (n, h, w, c))
+    base[:, :kernel, :kernel, :] = 0.0  # an all-zero window per (n, c)
+    base[:, :kernel, kernel:2 * kernel, :] = -0.0
+    base = base.astype(dtype)
+    if layout == "channels_last":
+        return base.transpose(0, 3, 1, 2)
+    return np.ascontiguousarray(base.transpose(0, 3, 1, 2))
+
+
+def _arena_state():
+    arena = step_arena()
+    return {key: (len(pool), arena._cursors[key]) for key, pool in arena._pools.items()}
+
+
+def _run_pool(pool, data, grad, kernel, mode):
+    """Forward (+ backward unless no_grad) in ``mode`` from a clean arena."""
+    step_arena().clear()
+    x = Tensor(data, requires_grad=True)
+    with _mode(mode):
+        y = pool(x, kernel)
+        if mode != "no_grad":
+            y.backward(grad)
+    gx = None if x.grad is None else (x.grad.tobytes(), x.grad.strides)
+    state = _arena_state()
+    step_arena().clear()
+    return y.data.tobytes(), y.data.strides, y.data.dtype, gx, state
+
+
+POOL_GRID = list(itertools.product(
+    (1, 2, 3),                       # kernel
+    ("tie_heavy", "random"),
+    ("c_order", "channels_last"),
+    (np.float32, np.float64),
+    MODES,
+))
+
+
+@pytest.mark.parametrize("kernel,values,layout,dtype,mode", POOL_GRID)
+def test_maxpool2d_matches_reference_bytes(kernel, values, layout, dtype, mode):
+    shape = (2, 3, 6 * kernel, 4 * kernel)
+    seed = kernel * 10 + (values == "random")
+    with default_dtype(dtype):
+        if values == "tie_heavy":
+            data = _tie_heavy(shape, dtype, layout, kernel, seed)
+        else:
+            data = _input(shape, dtype, layout, seed)
+        grad = _input((2, 3, 6, 4), dtype, "c_order", seed + 1)
+        expected = _run_pool(reference_maxpool2d, data, grad, kernel, mode)
+        got = _run_pool(F.maxpool2d, data, grad, kernel, mode)
+    assert got[2] == expected[2]
+    assert got[1] == expected[1]            # C-contiguous NCHW output
+    assert got[0] == expected[0]
+    assert got[3] == expected[3]            # input gradient, bytes + strides
+    assert got[4] == expected[4]            # the same arena grants
+
+
+@pytest.mark.parametrize("mode", ("fused", "reference"))
+def test_maxpool2d_adds_onto_an_existing_gradient(mode):
+    data = _tie_heavy((2, 3, 4, 4), np.float64, "channels_last", 2, seed=5)
+    grad = _input((2, 3, 2, 2), np.float64, "c_order", seed=6)
+    prior = _input((2, 3, 4, 4), np.float64, "c_order", seed=7)
+    results = []
+    for pool in (reference_maxpool2d, F.maxpool2d):
+        with default_dtype(np.float64), _mode(mode):
+            x = Tensor(data, requires_grad=True)
+            x.grad = prior.copy()
+            pool(x, 2).backward(grad)
+        results.append(x.grad.tobytes())
+        step_arena().reset()
+    assert results[0] == results[1]
+
+
+def test_maxpool2d_nan_counts_only_in_a_windows_first_cell():
+    """The documented NaN rule (the one place the where-chain and argmax
+    differ): a NaN first cell wins, a later NaN never does."""
+    nan = np.nan
+    data = np.array([[[[nan, 1.0, 5.0, nan],
+                       [2.0, 3.0, 4.0, 1.0]]]])
+    with default_dtype(np.float64), no_grad():
+        out = F.maxpool2d(Tensor(data), 2).data
+    assert np.isnan(out[0, 0, 0, 0]) and out[0, 0, 0, 1] == 5.0
+
+
+# --------------------------------------------------------------------- #
+# batch-norm eval
+# --------------------------------------------------------------------- #
+def reference_bn_eval(bn, x):
+    axes = (0, 2, 3)
+    mean, var = bn.running_mean, bn.running_var
+    std = np.sqrt(var + bn.eps)
+    xhat = (x.data - mean[None, :, None, None]) / std[None, :, None, None]
+    out_data = (
+        bn.gamma.data[None, :, None, None] * xhat + bn.beta.data[None, :, None, None]
+    )
+    gamma, beta = bn.gamma, bn.beta
+
+    def bwd(grad):
+        gamma.grad += (grad * xhat).sum(axis=axes)
+        beta.grad += grad.sum(axis=axes)
+        if not x.requires_grad:
+            return
+        g = gamma.data[None, :, None, None]
+        x.accumulate_grad((g / std[None, :, None, None]) * grad)
+
+    return Tensor(out_data, parents=(x,), backward=bwd)
+
+
+def _eval_bn(channels, seed):
+    rng = np.random.default_rng(seed)
+    bn = BatchNorm2d(channels)
+    bn.gamma.data[:] = rng.standard_normal(channels)
+    bn.beta.data[:] = rng.standard_normal(channels)
+    bn.running_mean = rng.standard_normal(channels)
+    bn.running_var = rng.random(channels) + 0.25
+    return bn.eval()
+
+
+BN_GRID = list(itertools.product(
+    ((2, 5, 4, 3), (3, 8, 1, 1), (1, 4, 2, 6), (4, 3, 12, 10)),
+    ("c_order", "channels_last"),
+    (np.float32, np.float64),
+    MODES,
+))
+
+
+@pytest.mark.parametrize("shape,layout,dtype,mode", BN_GRID)
+def test_bn_eval_matches_reference_bytes(shape, layout, dtype, mode):
+    seed = sum(shape)
+    with default_dtype(dtype):
+        data = _input(shape, dtype, layout, seed)
+        grad = _input(shape, dtype, "c_order", seed + 1)
+        runs = []
+        for forward in (reference_bn_eval, BatchNorm2d.forward):
+            bn = _eval_bn(shape[1], seed)
+            x = Tensor(data, requires_grad=True)
+            step_arena().clear()
+            with _mode(mode):
+                y = forward(bn, x)
+                if mode != "no_grad":
+                    y.backward(grad)
+            grads = [] if mode == "no_grad" else [
+                (a.tobytes(), a.strides) for a in (x.grad, bn.gamma.grad, bn.beta.grad)
+            ]
+            runs.append((y.data.dtype, y.data.strides, y.data.tobytes(), grads,
+                         _arena_state()))
+            step_arena().clear()
+    assert runs[1] == runs[0]

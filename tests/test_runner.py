@@ -1,5 +1,7 @@
 """Runner tests: serial/parallel parity, failure isolation, env parsing."""
 
+import multiprocessing as mp
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,12 @@ from repro.runner import (
     results_by_key,
     run_experiments,
 )
-from repro.runner.runner import WORKERS_ENV, _normalise
+from repro.runner.runner import (
+    WORKERS_ENV,
+    _init_worker,
+    _normalise,
+    _openblas_thread_calls,
+)
 from repro.utils.config import (
     ChipConfig,
     CrossbarConfig,
@@ -32,6 +39,41 @@ def _tiny(model: str = "vgg11", seed: int = 11, **train_kw) -> ExperimentConfig:
         policy="none",
         seed=seed,
     )
+
+
+def _report_blas_threads(conn) -> None:
+    """Forked-worker body: BLAS threads inherited, then after init."""
+    get = _openblas_thread_calls()[1]
+    inherited = get()
+    _init_worker()
+    conn.send((inherited, get()))
+    conn.close()
+
+
+class TestWorkerBlasPin:
+    def test_forked_worker_runs_one_blas_thread(self):
+        calls = _openblas_thread_calls()
+        if calls is None:
+            pytest.skip("no loaded OpenBLAS exposes a thread-count entry point")
+        if "fork" not in mp.get_all_start_methods():
+            pytest.skip("needs the fork start method")
+        a = np.ones((256, 256))
+        a @ a  # the parent's pool has started
+        parent_threads = calls[1]()
+        ctx = mp.get_context("fork")
+        recv, send = ctx.Pipe(duplex=False)
+        proc = ctx.Process(target=_report_blas_threads, args=(send,))
+        proc.start()
+        send.close()
+        try:
+            assert recv.poll(60), "worker sent nothing"
+            inherited, pinned = recv.recv()
+        finally:
+            proc.join(timeout=30)
+            recv.close()
+        assert inherited == parent_threads
+        assert pinned == 1
+        assert calls[1]() == parent_threads  # the parent keeps its pool
 
 
 class TestDefaultWorkers:

@@ -376,9 +376,10 @@ class TestProcessReplicaResilience:
         )
         try:
             # sustained wave so replica 0 is mid-batch when killed
-            xs = np.concatenate([samples] * 3)
+            xs = np.concatenate([samples] * 20)
             futures = [srv.submit(x) for x in xs]
             time.sleep(0.05)
+            assert not all(f.done() for f in futures), "wave ended before the kill"
             srv.kill_replica(0)
             results = [f.result(timeout=120) for f in futures]
         finally:
