@@ -46,6 +46,7 @@ from repro.nn.tensor import Tensor, fused_mode, step_arena
 from repro.nn.data import SyntheticDataset
 from repro.nn.trainer import Trainer
 from repro.telemetry import Telemetry
+from repro.utils.blas import single_thread_lease
 from repro.utils.config import TrainConfig
 
 __all__ = [
@@ -380,17 +381,6 @@ def _worker_main(rank, world, experiment, shm_name, barrier_a, barrier_b,
         trainer = ctx.trainer
         bist_rng = ctx.rng_hub.stream("bist")
         shm = shared_memory.SharedMemory(name=shm_name)
-        if shm_specs is not None:
-            # Spawned worker: this process's resource tracker registered
-            # the attach; the parent owns the segment lifecycle.  (A
-            # forked worker shares the parent's tracker — unregistering
-            # there would drop the parent's own registration.)
-            try:
-                from multiprocessing import resource_tracker
-
-                resource_tracker.unregister(shm._name, "shared_memory")
-            except Exception:
-                pass
         params = trainer.optimizer.parameters
         bn_mods = _bn_modules(trainer.model)
         shards = cfg.train.grad_shards
@@ -483,7 +473,7 @@ class DataParallelTrainer(Trainer):
         self._local_buf = None
         self._segments: list = []
         self._comm: _ShardComm | None = None
-        self._thread_limit = None
+        self._blas_lease = None
         self._watchdog: threading.Thread | None = None
         self._watchdog_stop: threading.Event | None = None
 
@@ -536,16 +526,8 @@ class DataParallelTrainer(Trainer):
             import multiprocessing as mp
             from multiprocessing import shared_memory
 
-            from repro.runner.runner import (
-                ExperimentCell,
-                _export_datasets_shm,
-                _limit_worker_threads,
-            )
+            from repro.runner.runner import ExperimentCell, _export_datasets_shm
 
-            # One BLAS thread per rank, rank 0 included: parallelism
-            # comes from the ranks, and identical replicas require every
-            # rank to run the identical kernel schedule.
-            _limit_worker_threads()
             method = self.start_method
             if method is None:
                 method = (
@@ -599,6 +581,10 @@ class DataParallelTrainer(Trainer):
             barrier_a=barrier_a, barrier_b=barrier_b, barrier_s=barrier_s,
             tel=self.telemetry,
         )
+        # One BLAS thread per rank when there are several: the ranks are
+        # the compute lanes.  Workers pin themselves at start-up; rank 0
+        # (this process) holds the lease until shutdown.
+        self._blas_lease = single_thread_lease(world)
         self._started = True
 
     # ------------------------------------------------------------------ #
@@ -665,6 +651,8 @@ class DataParallelTrainer(Trainer):
             _release_segments(self._segments)
             self._segments = []
         self._local_buf = None
+        self._blas_lease.release()
+        self._blas_lease = None
         self._started = False
         self._finished = True
 

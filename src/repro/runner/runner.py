@@ -29,9 +29,10 @@ worker processes:
   each finished cell to a JSONL checkpoint
   (:mod:`repro.runner.checkpoint`) and skips cells the file already
   holds, so an interrupted sweep resumes bit-identically.
-* **Oversubscription control** — workers pin their BLAS thread pools to a
-  single thread when ``threadpoolctl`` is available; the matrices here
-  are small enough that process-level parallelism dominates.
+* **Oversubscription control** — every worker runs its BLAS on one
+  thread (:func:`repro.utils.blas.pin_single_thread`): the workers are
+  the compute lanes, and the matrices here are small enough that
+  process-level parallelism dominates.
 
 Environment knobs: ``REPRO_BENCH_WORKERS`` (worker count, ``"auto"`` =
 one per CPU, default serial), ``REPRO_BENCH_TIMEOUT`` (per-cell seconds,
@@ -54,7 +55,6 @@ per-process cache (:mod:`repro.nn.data`).
 
 from __future__ import annotations
 
-import ctypes
 import multiprocessing as mp
 import os
 import signal
@@ -75,6 +75,7 @@ from repro.nn.data import (
 from repro.runner.checkpoint import CheckpointStore, cell_fingerprint
 from repro.telemetry import Telemetry, null_telemetry
 from repro.telemetry.live import FLIGHT_ENV, attach_worker_live, flight_path
+from repro.utils.blas import pin_single_thread
 from repro.utils.config import ExperimentConfig
 
 __all__ = [
@@ -223,69 +224,6 @@ def _normalise_retry(retry: "RetryPolicy | int | None") -> RetryPolicy:
     return RetryPolicy(max_attempts=1 + max(0, int(retry)))
 
 
-def _limit_worker_threads() -> None:
-    """Pin BLAS pools to one thread per worker process (best effort)."""
-    os.environ.setdefault("OMP_NUM_THREADS", "1")
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    try:  # pragma: no cover - optional dependency
-        import threadpoolctl
-
-        global _THREADPOOL_LIMIT  # keep the controller alive
-        _THREADPOOL_LIMIT = threadpoolctl.threadpool_limits(1)
-    except Exception:
-        pass
-
-
-#: (set, get) thread-count entry points of the OpenBLAS builds NumPy ships
-#: with (scipy-openblas wheels, 64-bit and 32-bit integer) or links to.
-_OPENBLAS_THREAD_SYMBOLS = (
-    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
-    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
-    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
-    ("openblas_set_num_threads", "openblas_get_num_threads"),
-)
-
-
-def _openblas_thread_calls() -> tuple[Callable, Callable] | None:
-    """``(set_num_threads, get_num_threads)`` of the loaded OpenBLAS.
-
-    Looks only at libraries this process has already mapped (Linux), so
-    it finds the pool NumPy itself uses; ``None`` when there is none.
-    """
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({
-                line.split()[-1] for line in fh if "openblas" in line.lower()
-            })
-    except OSError:
-        return None
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for set_name, get_name in _OPENBLAS_THREAD_SYMBOLS:
-            setter = getattr(lib, set_name, None)
-            getter = getattr(lib, get_name, None)
-            if setter is not None and getter is not None:
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                return setter, getter
-    return None
-
-
-def _pin_loaded_blas_pool() -> None:
-    """Shrink an already-started OpenBLAS pool to one thread (best effort).
-
-    ``OPENBLAS_NUM_THREADS`` only reaches a pool that has not started; a
-    forked worker inherits the parent's thread count, and a spawned one
-    has imported NumPy before its initializer runs.
-    """
-    calls = _openblas_thread_calls()
-    if calls is not None:
-        calls[0](1)
-
-
 # --------------------------------------------------------------------- #
 # shared dataset cache plumbing
 # --------------------------------------------------------------------- #
@@ -375,15 +313,6 @@ def _attach_datasets_shm(specs: list[dict]) -> None:
         for field_name, meta in spec["arrays"].items():
             shm = shared_memory.SharedMemory(name=meta["shm"])
             _WORKER_SHM.append(shm)
-            # The parent owns the segment lifecycle (close + unlink after
-            # the sweep is done); stop this process's resource tracker
-            # from reporting it as leaked when the worker exits.
-            try:  # pragma: no cover - CPython implementation detail
-                from multiprocessing import resource_tracker
-
-                resource_tracker.unregister(shm._name, "shared_memory")
-            except Exception:
-                pass
             fields[field_name] = np.ndarray(
                 meta["shape"], dtype=np.dtype(meta["dtype"]), buffer=shm.buf
             )
@@ -395,8 +324,7 @@ def _attach_datasets_shm(specs: list[dict]) -> None:
 
 
 def _init_worker(shm_specs: list[dict] | None = None) -> None:
-    _limit_worker_threads()
-    _pin_loaded_blas_pool()
+    pin_single_thread()
     if shm_specs:
         _attach_datasets_shm(shm_specs)
 

@@ -241,13 +241,6 @@ def _replica_worker_main(replica_id, config, max_batch, shm_name, conn,
             config, max_batch, replica_id=replica_id, telemetry=tel
         )
         shm = shared_memory.SharedMemory(name=shm_name)
-        if shm_specs is not None:
-            try:  # parent owns the segment lifecycle (see repro.nn.parallel)
-                from multiprocessing import resource_tracker
-
-                resource_tracker.unregister(shm._name, "shared_memory")
-            except Exception:
-                pass
         in_view, out_view = _carve_transport(
             shm.buf, max_batch, core.input_shape, core.input_dtype,
             core.num_classes,
@@ -324,15 +317,10 @@ class ProcessReplica:
         from multiprocessing import shared_memory
 
         from repro.nn.data import cached_dataset
-        from repro.runner.runner import (
-            ExperimentCell,
-            _export_datasets_shm,
-            _limit_worker_threads,
-        )
+        from repro.runner.runner import ExperimentCell, _export_datasets_shm
 
         self.replica_id = replica_id
         self.max_batch = max_batch
-        _limit_worker_threads()
         method = start_method
         if method is None:
             method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"

@@ -41,6 +41,7 @@ from repro.serve.batcher import MicroBatcher, Request, RequestFuture
 from repro.serve.replica import LocalReplica, ProcessReplica, ReplicaDied
 from repro.serve.router import HealthRouter
 from repro.telemetry import Telemetry
+from repro.utils.blas import single_thread_lease
 from repro.utils.config import ExperimentConfig
 
 __all__ = ["InferenceServer", "ServeConfig"]
@@ -163,17 +164,27 @@ class InferenceServer:
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop, daemon=True, name="serve-dispatcher"
         )
-        for t in self._threads:
-            t.start()
-        self._dispatcher.start()
-        self.telemetry.event(
-            "server_started",
-            replicas=self.serve.replicas,
-            max_batch=self.serve.max_batch,
-            max_wait_us=self.serve.max_wait_us,
-            workers=self.serve.workers,
-            chaos=bool(self._chaos),
+        # In-process replicas are compute lanes sharing this process's
+        # BLAS pool: with two or more, each runs one BLAS thread until
+        # close().  Worker replicas pin their own processes.
+        self._blas_lease = single_thread_lease(
+            0 if self.serve.workers else self.serve.replicas
         )
+        try:
+            for t in self._threads:
+                t.start()
+            self._dispatcher.start()
+            self.telemetry.event(
+                "server_started",
+                replicas=self.serve.replicas,
+                max_batch=self.serve.max_batch,
+                max_wait_us=self.serve.max_wait_us,
+                workers=self.serve.workers,
+                chaos=bool(self._chaos),
+            )
+        except BaseException:
+            self.close(drain=False)
+            raise
 
     # ------------------------------------------------------------------ #
     # request surface
@@ -406,14 +417,18 @@ class InferenceServer:
                     pending, RuntimeError("server shut down"), in_flight=False
                 )
         self.batcher.close()
-        self._dispatcher.join(timeout=timeout)
+        # A constructor that failed part-way may not have started them all.
+        if self._dispatcher.is_alive():
+            self._dispatcher.join(timeout=timeout)
         for rid in self.replicas:
             try:
                 self._queues[rid].put_nowait(None)
             except Exception:
                 pass
         for t in self._threads:
-            t.join(timeout=timeout)
+            if t.is_alive():
+                t.join(timeout=timeout)
+        self._blas_lease.release()
         for rid, replica in self.replicas.items():
             snap = replica.close()
             if snap is not None:

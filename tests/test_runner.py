@@ -1,6 +1,9 @@
 """Runner tests: serial/parallel parity, failure isolation, env parsing."""
 
 import multiprocessing as mp
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,12 +15,8 @@ from repro.runner import (
     results_by_key,
     run_experiments,
 )
-from repro.runner.runner import (
-    WORKERS_ENV,
-    _init_worker,
-    _normalise,
-    _openblas_thread_calls,
-)
+from repro.runner.runner import WORKERS_ENV, _init_worker, _normalise
+from repro.utils.blas import openblas_thread_calls
 from repro.utils.config import (
     ChipConfig,
     CrossbarConfig,
@@ -43,7 +42,7 @@ def _tiny(model: str = "vgg11", seed: int = 11, **train_kw) -> ExperimentConfig:
 
 def _report_blas_threads(conn) -> None:
     """Forked-worker body: BLAS threads inherited, then after init."""
-    get = _openblas_thread_calls()[1]
+    get = openblas_thread_calls()[1]
     inherited = get()
     _init_worker()
     conn.send((inherited, get()))
@@ -52,7 +51,7 @@ def _report_blas_threads(conn) -> None:
 
 class TestWorkerBlasPin:
     def test_forked_worker_runs_one_blas_thread(self):
-        calls = _openblas_thread_calls()
+        calls = openblas_thread_calls()
         if calls is None:
             pytest.skip("no loaded OpenBLAS exposes a thread-count entry point")
         if "fork" not in mp.get_all_start_methods():
@@ -191,6 +190,51 @@ class TestSharedDatasetCache:
                 s.result.train_result.accuracy_curve()
                 == p.result.train_result.accuracy_curve()
             )
+
+
+#: Exports one dataset, runs the worker start-up in a child of the given
+#: start method, then unlinks the segments the way a finished sweep does.
+_SHM_ATTACH_SCRIPT = """
+import multiprocessing as mp
+import sys
+
+from repro.runner.runner import (
+    ExperimentCell, _export_datasets_shm, _init_worker, _release_segments,
+)
+from repro.utils.config import ExperimentConfig, TrainConfig
+
+if __name__ == "__main__":
+    cfg = ExperimentConfig(train=TrainConfig(n_train=8, n_test=8), seed=3)
+    specs, segments = _export_datasets_shm([ExperimentCell("shm", cfg)])
+    worker = mp.get_context(sys.argv[1]).Process(
+        target=_init_worker, args=(specs,)
+    )
+    worker.start()
+    worker.join()
+    _release_segments(segments)
+    sys.exit(worker.exitcode)
+"""
+
+
+class TestSharedMemoryTracker:
+    """A worker attaching the parent's segments must leave the resource
+    tracker's bookkeeping alone: on CPython the child shares the parent's
+    tracker, so a child-side unregister drops the parent's registration
+    and the parent's unlink then fails inside the tracker."""
+
+    @pytest.mark.parametrize("method", ["spawn", "fork"])
+    def test_worker_attach_then_parent_unlink_is_clean(self, method):
+        if method not in mp.get_all_start_methods():
+            pytest.skip(f"needs the {method} start method")
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        proc = subprocess.run(
+            [sys.executable, "-c", _SHM_ATTACH_SCRIPT, method],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "KeyError" not in proc.stderr, proc.stderr
+        assert "leaked" not in proc.stderr, proc.stderr
 
 
 class TestTelemetryMerge:
